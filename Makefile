@@ -30,9 +30,11 @@ bench:
 bench-check:
 	python -m repro.experiments bench-check
 
-## Fast-path/reference decision parity only (quick hot-path sanity).
+## Decision parity only (quick hot-path sanity): every suite that replays
+## against the reference scans or the literal engines in tests/oracles.
 parity:
-	python -m pytest tests/core/test_decision_parity.py -q
+	python -m pytest tests/core/test_decision_parity.py tests/core/test_pass_elision.py \
+	                 tests/core/test_write_path_parity.py tests/core/test_ephemeral_parity.py -q
 
 ## cProfile the 2k-request §V-A replay: the top-25 functions by
 ## cumulative time, then a per-subsystem rollup (commit path, dispatch,

@@ -49,13 +49,21 @@ class DecisionLog:
         self._maxlen = maxlen
         self._log: deque[Decision] = deque(maxlen=maxlen)
         self._counts: Counter[DecisionKind] = Counter()
+        self._evicted = 0
 
     def record(self, decision: Decision) -> None:
         log = self._log
         if len(log) == self._maxlen:
             self._counts[log[0].kind] -= 1  # about to be evicted
+            self._evicted += 1
         log.append(decision)
         self._counts[decision.kind] += 1
+
+    @property
+    def recorded(self) -> int:
+        """Decisions ever recorded, evicted ones included (monotone,
+        unlike ``len``, which stops growing at ``maxlen``)."""
+        return len(self._log) + self._evicted
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -33,16 +33,16 @@ Pass elision (dirty signals)
 ----------------------------
 Every policy also declares a :class:`~repro.core.signals.PassGuard` — the
 preconditions under which one pass can produce any decision.  The
-Scheduler's elision engine consults it before every would-be pass and
-skips passes the guard proves are no-ops; inside a pass, policies that
-support it consult the same predicate (``SchedulerOps.
-pass_work_remaining``, bound only when elision is on) to stop walking
-idle GPUs once no remaining GPU can act.  Elision changes *which
-provably-empty scans run*, never a decision: the parity suites replay
-identical workloads with elision on and off and require byte-identical
-``DecisionLog``s.  (The ``fast_scans``/``reference_scans`` counters may
-legitimately differ across elision modes — an elided pass performs no
-scans at all.)
+Scheduler's pass loop consults it before every would-be pass and skips
+passes the guard proves are no-ops; inside a pass, policies that support
+it consult the same predicate (``SchedulerOps.pass_work_remaining``,
+which the Scheduler always binds and the literal-engine test oracle sets
+to None) to stop walking idle GPUs once no remaining GPU can act.
+Elision changes *which provably-empty scans run*, never a decision: the
+parity suites replay identical workloads against the literal always-pass
+oracle and require byte-identical ``DecisionLog``s.  (The
+``fast_scans``/``reference_scans`` counters may legitimately differ
+between the two engines — an elided pass performs no scans at all.)
 
 The fast path assumes the admission check is trivially true.  With a
 :class:`~repro.core.tenancy.TenancyController` installed the policies no
@@ -76,6 +76,7 @@ __all__ = [
     "LALBPolicy",
     "make_scheduling_policy",
     "DEFAULT_O3_LIMIT",
+    "POLICY_NAMES",
 ]
 
 #: Paper §IV-B: "it sets a specified limit (by default 25)".
@@ -86,12 +87,12 @@ class SchedulerOps(Protocol):  # pragma: no cover - typing interface
     """What a policy may observe and do; implemented by the Scheduler.
 
     ``pass_work_remaining`` is the optional mid-pass narrowing probe: the
-    elision engine binds it to the policy's :class:`PassGuard` so a pass
-    can stop walking idle GPUs the moment no remaining GPU can possibly
-    act (the same provable-no-op predicate that elides whole passes).
-    Implementations without it (unit-test fakes, the literal engine with
-    elision off) simply run the full historical walk — policies look it
-    up with ``getattr(..., None)`` and never require it.
+    Scheduler binds it to the policy's :class:`PassGuard` so a pass can
+    stop walking idle GPUs the moment no remaining GPU can possibly act
+    (the same provable-no-op predicate that elides whole passes).
+    Implementations without it (unit-test fakes, the literal-engine
+    oracle) simply run the full historical walk — policies look it up
+    with ``getattr(..., None)`` and never require it.
     """
 
     global_queue: GlobalQueue
@@ -151,7 +152,7 @@ class SchedulingPolicy(ABC):
     name: str = "abstract"
     #: flip to False to run the literal Algorithm-1/2 scans (parity tests)
     use_fast_path: bool = True
-    #: preconditions for a pass to act; the elision engine consults this
+    #: preconditions for a pass to act; the Scheduler's pass loop consults this
     #: before every would-be pass.  The base guard is the conservative
     #: fail-safe (exactly the historical run conditions), so subclasses
     #: that declare nothing are never over-elided.
@@ -559,16 +560,21 @@ class LALBPolicy(SchedulingPolicy):
         return "to_this_gpu"
 
 
+#: policy name → constructor given the O3 limit (only LALBO3 uses it)
+_POLICY_FACTORIES = {
+    "lb": lambda o3_limit: LoadBalancingPolicy(),
+    "locality": lambda o3_limit: LocalityOnlyPolicy(),
+    "lalb": lambda o3_limit: LALBPolicy(limit=0),
+    "lalbo3": lambda o3_limit: LALBPolicy(limit=o3_limit),
+}
+#: every name ``SystemConfig.policy`` and the factory accept, matched exactly
+POLICY_NAMES = tuple(_POLICY_FACTORIES)
+
+
 def make_scheduling_policy(name: str, *, o3_limit: int = DEFAULT_O3_LIMIT) -> SchedulingPolicy:
     """Factory: the paper's three schedulers (``"lb"``, ``"lalb"``,
     ``"lalbo3"``) plus the ``"locality"`` strawman of §I."""
-    key = name.lower()
-    if key == "lb":
-        return LoadBalancingPolicy()
-    if key == "locality":
-        return LocalityOnlyPolicy()
-    if key == "lalb":
-        return LALBPolicy(limit=0)
-    if key == "lalbo3":
-        return LALBPolicy(limit=o3_limit)
-    raise KeyError(f"unknown policy {name!r}; known: lb, locality, lalb, lalbo3")
+    factory = _POLICY_FACTORIES.get(name)
+    if factory is None:
+        raise KeyError(f"unknown policy {name!r}; known: {', '.join(POLICY_NAMES)}")
+    return factory(o3_limit)

@@ -9,20 +9,15 @@ The Scheduler implements :class:`~repro.core.policies.SchedulerOps`: the
 policy objects decide, the Scheduler executes (removing requests from
 queues, invoking GPU Managers, shipping the GPU address with the dispatch).
 
-Pass-elision engine
--------------------
-Every entry point (``submit`` / ``on_gpu_idle`` / ``resubmit``) used to
-run at least one full policy pass.  With elision on (the default,
-``SystemConfig(pass_elision=True)``) the Scheduler instead consults the
-policy's :class:`~repro.core.signals.PassGuard` before every would-be
-pass — the initial pass of an action and every re-invocation after a
-productive one — and skips passes the guard proves are no-ops, reacting
-to the dirty signals the components publish (idle-set delta, queue
-length, idle local work) instead of re-deriving "nothing to do" from
-full state.  ``passes_executed`` / ``passes_elided`` count every
-considered pass into exactly one of the two bins, so benchmarks can gate
-that elision actually engages.  The pre-elision engine survives as
-``pass_elision=False`` for the parity suites.
+Pass loop
+---------
+Every entry point (``submit`` / ``on_gpu_idle`` / ``resubmit``) runs one
+loop that consults the policy's :class:`~repro.core.signals.PassGuard`
+before every would-be pass and skips passes the guard proves are no-ops,
+reacting to the dirty signals the components publish (idle-set delta,
+queue length, idle local work).  ``passes_executed`` / ``passes_elided``
+count every considered pass into exactly one bin.  The paper-literal
+always-pass loop survives as a test oracle (``tests/oracles``).
 """
 
 from __future__ import annotations
@@ -60,7 +55,6 @@ class Scheduler:
         *,
         datastore: DatastoreClient | None = None,
         tenancy: TenancyController | None = None,
-        pass_elision: bool = True,
         deadline_s: float | None = None,
     ) -> None:
         self.sim = sim
@@ -113,19 +107,16 @@ class Scheduler:
         #: idle ∩ local-work dirty-signal join (see signals.py); consumed
         #: by the pass guards and the mid-pass narrowing probe
         self.idle_local_work = IdleLocalWorkIndex(cluster, self.local_queues)
-        self.pass_elision = pass_elision
         #: scheduling actions seen (entry-point invocations)
         self.actions = 0
-        #: passes actually run (either engine)
+        #: passes actually run
         self.passes_executed = 0
-        #: passes proven no-ops by the guard and skipped (elision on only)
+        #: passes proven no-ops by the guard and skipped
         self.passes_elided = 0
-        # the mid-pass narrowing probe: bound only when elision is on
-        # (None keeps the policies on the full historical walk, and keeps
-        # their getattr probe on the cheap found-attribute path)
-        self.pass_work_remaining = self._pass_work_remaining if pass_elision else None
+        #: the mid-pass narrowing probe (None puts policies on the full walk)
+        self.pass_work_remaining = self._pass_work_remaining
         #: flight recorder, installed by the runtime when tracing is on;
-        #: None keeps _run_policy on the uninstrumented engines
+        #: None skips the pass-span hook in _run_policy
         self._tracer = None
         #: ExplainLog when SystemConfig(trace_decisions=True); always
         #: defined so the policies' getattr probe stays on the cheap
@@ -218,12 +209,12 @@ class Scheduler:
             self.datastore.flush()
 
     def _pass_work_remaining(self) -> bool:
-        """The narrowing probe policies consult mid-pass (elision on).
+        """The narrowing probe policies consult mid-pass.
 
         Same provable-no-op predicate the policy's guard applies between
         passes, evaluated from the live dirty signals — so a pass stops
         walking idle GPUs the moment nothing it visits can act.  A False
-        answer is remembered (``_work_exhausted``) so the engine can elide
+        answer is remembered (``_work_exhausted``) so the loop can elide
         the post-pass guard re-evaluation: nothing changes between the
         probe and the pass returning.
         """
@@ -236,56 +227,57 @@ class Scheduler:
         """Run scheduling passes until the policy makes no more progress.
 
         §IV-A: the scheduler acts when at least one request is waiting
-        (global or local) and at least one GPU is idle.  The re-entrancy
-        guard matters because dispatching can synchronously change GPU
-        state, which policies observe mid-pass.
-
-        With elision on, the policy's :class:`PassGuard` replaces the
-        historical run/stop conditions: every would-be pass is either
-        executed or — when the guard proves it a no-op — elided and
-        counted.  Both engines run the same passes in the same order;
-        elision only removes passes that would have decided nothing.
+        (global or local) and at least one GPU is idle.  The policy's
+        :class:`PassGuard` encodes that rule: every would-be pass is
+        either executed or, when the guard proves it a no-op, elided and
+        counted.  The re-entrancy guard matters because dispatching can
+        synchronously change GPU state, which policies observe mid-pass.
+        The tracer and explain hooks cost one identity test each when off.
         """
         if self._scheduling:
             return
-        if self._tracer is not None or self.explain is not None:
-            self._run_policy_observed()
+        guard_may_act = self.policy.guard.may_act
+        explain = self.explain
+        if not guard_may_act(self):
+            self.passes_elided += 1
+            if explain is not None:
+                explain.pass_elided(self.sim._now, self._signal_state())
             return
-        if self.pass_elision:
-            guard_may_act = self.policy.guard.may_act
-            if not guard_may_act(self):
-                self.passes_elided += 1
-                return
-            self._scheduling = True
-            try:
-                while True:
-                    self.passes_executed += 1
-                    self._work_exhausted = False
-                    if not self.policy.schedule_pass(self):
-                        break
-                    if self._work_exhausted or not guard_may_act(self):
-                        self.passes_elided += 1
-                        break
-            finally:
-                self._scheduling = False
-            return
-        # reference engine: the pre-elision run/stop conditions, verbatim
-        if not self.cluster.idle_gpus():
-            return
-        if len(self.global_queue) == 0 and self.local_queues.total() == 0:
-            return
+        schedule_pass = self.policy.schedule_pass
+        tracer = self._tracer
+        if tracer is not None:
+            p_state = tracer._p_state
+            p_stride = tracer.span_stride
+            decisions = self.decisions
         self._scheduling = True
         try:
             while True:
                 self.passes_executed += 1
-                if not self.policy.schedule_pass(self):
+                self._work_exhausted = False
+                if explain is not None:
+                    explain.pass_begin(self.passes_executed, self._signal_state())
+                if tracer is None:
+                    progressed = schedule_pass(self)
+                elif (p_state[2] + 1) % p_stride:
+                    p_state[2] += 1  # unsampled: exact seen-counter only
+                    progressed = schedule_pass(self)
+                else:  # sampled: clock it; pass_span bumps and writes
+                    d0 = decisions.recorded
+                    t0 = perf_counter_ns()
+                    progressed = schedule_pass(self)
+                    wall = perf_counter_ns() - t0
+                    tracer.pass_span(wall, decisions.recorded - d0)
+                if not progressed:
                     break
-                if not self.cluster.idle_gpus():
-                    break
-                if len(self.global_queue) == 0 and self.local_queues.total() == 0:
+                if self._work_exhausted or not guard_may_act(self):
+                    self.passes_elided += 1
+                    if explain is not None:
+                        explain.pass_elided(self.sim._now, self._signal_state())
                     break
         finally:
             self._scheduling = False
+            if explain is not None:
+                explain.pass_end()
 
     def _signal_state(self) -> str:
         """The dirty-signal snapshot an armed/elided pass saw (explain
@@ -296,136 +288,6 @@ class Scheduler:
             f"local={self.local_queues.total()} "
             f"idle_local_work={bool(self.idle_local_work)}"
         )
-
-    def _run_policy_observed(self) -> None:
-        """:meth:`_run_policy` with the tracer/explain hooks threaded in.
-
-        Runs exactly the passes the uninstrumented engines run, in the
-        same order (the observability parity suite asserts byte-identical
-        DecisionLogs); adds a wall-clock span per ``span_stride``-th
-        executed pass when a tracer is installed (unsampled passes only
-        bump the exact counter) and pass/elision context when explain is
-        on.
-        Kept separate so the default engines above stay literally
-        untouched — "zero cost when off" is two identity tests (and the
-        runtime rebinds ``_run_policy`` to this method when it installs
-        a tracer, so the on path does not even pay the extra dispatch).
-
-        The pass ring is written *in place* rather than through
-        ``tracer.pass_span``: one closure call per executed pass is
-        measurable at 2k-replay rates, and ``_tracer`` here is always
-        the runtime-installed :class:`~repro.obs.FlightRecorder` (the
-        lower-rate hooks elsewhere go through the Tracer protocol).
-        """
-        if self._scheduling:
-            return
-        tracer = self._tracer
-        explain = self.explain
-        if self.pass_elision:
-            guard_may_act = self.policy.guard.may_act
-            if not guard_may_act(self):
-                self.passes_elided += 1
-                if explain is not None:
-                    explain.pass_elided(self.sim._now, self._signal_state())
-                return
-            if tracer is not None:
-                # loop-invariant tracer state, bound once per armed
-                # invocation (after the early-outs: most invocations
-                # elide, and the elided path should pay nothing extra).
-                # decision_log is the underlying deque — len() on it is
-                # a C-level size read, where len(self.decisions) would
-                # dispatch a Python __len__ twice per sampled pass
-                decision_log = self.decisions._log
-                p_state = tracer._p_state
-                p_stride = tracer.span_stride
-            self._scheduling = True
-            try:
-                while True:
-                    self.passes_executed += 1
-                    self._work_exhausted = False
-                    if explain is not None:
-                        explain.pass_begin(self.passes_executed, self._signal_state())
-                    if tracer is not None:
-                        # count every pass; clock + record only the
-                        # stride-sampled ones (the probes are the cost)
-                        n = p_state[2] + 1
-                        p_state[2] = n
-                        if n % p_stride:
-                            progressed = self.policy.schedule_pass(self)
-                        else:
-                            d0 = len(decision_log)
-                            t0 = perf_counter_ns()
-                            progressed = self.policy.schedule_pass(self)
-                            wall = perf_counter_ns() - t0
-                            p_buf = tracer._p_buf
-                            i = p_state[0]
-                            b = i * 3
-                            p_buf[b] = self.sim._now
-                            p_buf[b + 1] = wall
-                            p_buf[b + 2] = len(decision_log) - d0
-                            p_state[1] += 1
-                            i += 1
-                            p_state[0] = 0 if i == tracer.capacity else i
-                    else:
-                        progressed = self.policy.schedule_pass(self)
-                    if not progressed:
-                        break
-                    if self._work_exhausted or not guard_may_act(self):
-                        self.passes_elided += 1
-                        if explain is not None:
-                            explain.pass_elided(self.sim._now, self._signal_state())
-                        break
-            finally:
-                self._scheduling = False
-                if explain is not None:
-                    explain.pass_end()
-            return
-        # mirrored reference engine (pre-elision run/stop conditions)
-        if not self.cluster.idle_gpus():
-            return
-        if len(self.global_queue) == 0 and self.local_queues.total() == 0:
-            return
-        if tracer is not None:
-            decision_log = self.decisions._log
-            p_state = tracer._p_state
-            p_stride = tracer.span_stride
-        self._scheduling = True
-        try:
-            while True:
-                self.passes_executed += 1
-                if explain is not None:
-                    explain.pass_begin(self.passes_executed, self._signal_state())
-                if tracer is not None:
-                    n = p_state[2] + 1
-                    p_state[2] = n
-                    if n % p_stride:
-                        progressed = self.policy.schedule_pass(self)
-                    else:
-                        d0 = len(decision_log)
-                        t0 = perf_counter_ns()
-                        progressed = self.policy.schedule_pass(self)
-                        wall = perf_counter_ns() - t0
-                        p_buf = tracer._p_buf
-                        i = p_state[0]
-                        b = i * 3
-                        p_buf[b] = self.sim._now
-                        p_buf[b + 1] = wall
-                        p_buf[b + 2] = len(decision_log) - d0
-                        p_state[1] += 1
-                        i += 1
-                        p_state[0] = 0 if i == tracer.capacity else i
-                else:
-                    progressed = self.policy.schedule_pass(self)
-                if not progressed:
-                    break
-                if not self.cluster.idle_gpus():
-                    break
-                if len(self.global_queue) == 0 and self.local_queues.total() == 0:
-                    break
-        finally:
-            self._scheduling = False
-            if explain is not None:
-                explain.pass_end()
 
     # ------------------------------------------------------------------
     # SchedulerOps: observations

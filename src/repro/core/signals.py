@@ -40,8 +40,8 @@ provably makes no decision, records nothing, and mutates nothing
 observable (including the lazy O3 ``visits`` accounting — a pass that
 never reaches a per-GPU scan never bumps visits).  Under that contract,
 eliding the pass is byte-identical to running it, which is what the
-decision-parity suites assert for every policy, with and without
-elision.
+decision-parity suites assert for every policy against the literal
+always-pass engine kept as a test oracle (``tests/oracles``).
 
 For the paper's four policies one shared proof covers the guard
 (:class:`DispatchableWorkGuard`): every decision either serves an *idle*

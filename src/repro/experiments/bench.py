@@ -25,10 +25,11 @@ fresh subprocess with a cold store, plus a resume pass against the
 figure payload at each worker count — identical hashes prove the sharded
 and sequential grids produce byte-identical figure inputs.
 
-The ``pass_elision`` section replays the same workloads with the
-dirty-signal elision engine on and off: the elided-pass fraction proves
-the guard layer engages on the paper's workload, and the per-action
-times document what skipping provably no-op passes buys end to end.
+The ``pass_elision`` section replays the same workloads with elision on
+and off (the literal always-pass oracle in ``tests/oracles``): the
+elided-pass fraction proves the guard layer engages on the paper's
+workload, and the per-action times document what skipping provably
+no-op passes buys end to end.
 
 The ``fault_replay`` section replays the 2k §V-A workload under the
 chaos subsystem's ``recoverable`` profile twice (identical decision-log
@@ -486,18 +487,23 @@ def measure_fault_replay(root: Path | None = None) -> dict:
 # ----------------------------------------------------------------------
 # Pass-elision trajectory
 # ----------------------------------------------------------------------
-# child-process body: one §V-A replay with elision on or off, reporting
-# wall time plus the engine's action/pass counters
+# child-process body: one §V-A replay with elision on or off (the literal
+# oracle from tests/oracles; cwd is the repo root), reporting wall time
+# plus the engine's action/pass counters
 _ELISION_CHILD_CODE = """
 import json, sys, time
 n = int(sys.argv[1]); elide = sys.argv[2] == "on"
+sys.path.insert(0, "tests")
+from oracles import literal_pass_engine
 from repro.traces.azure import SyntheticAzureTrace
 from repro.traces.workload import WorkloadSpec, build_workload
 from repro.runtime import FaaSCluster, SystemConfig
 minutes = max(1, round(n / 325))
 workload = build_workload(WorkloadSpec(working_set=15, minutes=minutes),
                           trace=SyntheticAzureTrace())
-system = FaaSCluster(SystemConfig(pass_elision=elide))
+system = FaaSCluster(SystemConfig())
+if not elide:
+    literal_pass_engine(system)
 t0 = time.perf_counter()
 system.submit_workload(workload)
 system.run()
@@ -522,7 +528,7 @@ def _elision_replay(root: Path, n_requests: int, *, elide: bool) -> dict:
 
 
 def measure_pass_elision(root: Path | None = None) -> dict:
-    """§V-A replays with the elision engine on vs off at 2k/20k/100k.
+    """§V-A replays with elision on vs the literal oracle at 2k/20k/100k.
 
     Records the elided-pass fraction (the signal that the guard layer
     actually engages on the paper's workload) and per-action wall time

@@ -204,7 +204,7 @@ class FlightRecorder(Tracer):
         self._spill = _Spill(spill_path, spill_keep) if spill_path else None
         # per-ring [cursor, stored] (+ [2] = spans *seen* for the two
         # sampled rings), shared between the recording closures, the
-        # runtime's inline ring-write sites, and the snapshot readers
+        # runtime's stride-checking call sites, and the snapshot readers
         self._r_state = [0, 0]
         self._p_state = [0, 0, 0]
         self._c_state = [0, 0, 0]

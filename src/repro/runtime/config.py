@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from ..chaos.plan import FAULT_PROFILES, FaultPlan
 from ..cluster.topology import PAPER_TESTBED, ClusterSpec
-from ..core.policies import DEFAULT_O3_LIMIT
+from ..core.policies import DEFAULT_O3_LIMIT, POLICY_NAMES
 from ..core.tenancy import TenantQuota
 
 __all__ = [
@@ -53,13 +53,6 @@ class SystemConfig:
     #: puts commit as one transaction → one revision → one coalesced watch
     #: batch (False restores the literal one-revision-per-put path)
     datastore_batching: bool = True
-    #: event-driven pass elision: the Scheduler consults each policy's
-    #: PassGuard against the dirty signals (idle-set delta, queue length,
-    #: idle local work) and skips provably no-op scheduling passes, and
-    #: policies narrow their idle-GPU walks with the same predicate.
-    #: Decisions are byte-identical either way (asserted by the parity
-    #: suites); False restores the literal always-pass engine.
-    pass_elision: bool = True
     #: auto-compact the Datastore's MVCC history below a sliding revision
     #: horizon of this many revisions (etcd's ``--auto-compaction``
     #: analogue): the KV event log and per-key history stay bounded on
@@ -158,8 +151,9 @@ class SystemConfig:
     trace_spill_keep: int = DEFAULT_STREAMING_COMPACT_KEEP
 
     def __post_init__(self) -> None:
-        if self.policy not in ("lb", "locality", "lalb", "lalbo3"):
-            raise ValueError(f"unknown policy {self.policy!r}")
+        if self.policy not in POLICY_NAMES:
+            known = ", ".join(POLICY_NAMES)
+            raise ValueError(f"unknown policy {self.policy!r} (known: {known})")
         if self.o3_limit < 0:
             raise ValueError("o3_limit cannot be negative")
         if self.watch_delay_s < 0:

@@ -129,7 +129,6 @@ class FaaSCluster:
             self._managers,
             datastore=self.datastore.client(),
             tenancy=self.tenancy,
-            pass_elision=self.config.pass_elision,
             deadline_s=self.config.deadline_s,
         )
         self.scheduler.on_lost = self.metrics.on_lost
@@ -141,11 +140,6 @@ class FaaSCluster:
         if self.config.trace_decisions:
             self.explain = ExplainLog()
             self.scheduler.explain = self.explain
-        if self.tracer is not None or self.explain is not None:
-            # skip the per-call observed-engine dispatch: every
-            # _run_policy call on this instance goes straight to the
-            # instrumented engine (which re-checks re-entrancy itself)
-            self.scheduler._run_policy = self.scheduler._run_policy_observed
         # rebind the managers' idle callback straight onto the scheduler:
         # the _on_gpu_idle wrapper only forwarded, and the hop runs once
         # per completion

@@ -18,6 +18,7 @@ import random
 import re
 
 import pytest
+from oracles import literal_pass_engine
 
 from repro.cluster import ClusterSpec
 from repro.models import ModelInstance, get_profile, model_names
@@ -68,11 +69,9 @@ def _run(
     """Run the workload; return the decision log keyed by submission index."""
     from repro.core.request import InferenceRequest
 
-    system = FaaSCluster(
-        SystemConfig(
-            cluster=ClusterSpec.homogeneous(2, 4), policy=policy, pass_elision=elide
-        )
-    )
+    system = FaaSCluster(SystemConfig(cluster=ClusterSpec.homogeneous(2, 4), policy=policy))
+    if not elide:
+        literal_pass_engine(system)
     system.scheduler.policy.use_fast_path = fast
     instances = [
         ModelInstance(f"m{i}", get_profile(_architecture(i))) for i in range(N_FUNCTIONS)
@@ -168,9 +167,10 @@ def _run_tenant(
             cluster=ClusterSpec.homogeneous(2, 4),
             policy=policy,
             quotas=quotas,
-            pass_elision=elide,
         )
     )
+    if not elide:
+        literal_pass_engine(system)
     system.scheduler.policy.use_fast_path = fast
     instances = [
         ModelInstance(
@@ -288,10 +288,11 @@ def _run_chaos(policy: str, fast: bool, elide: bool, spec):
         SystemConfig(
             cluster=ClusterSpec.homogeneous(2, 4),
             policy=policy,
-            pass_elision=elide,
             fault_plan=_chaos_plan(),
         )
     )
+    if not elide:
+        literal_pass_engine(system)
     system.scheduler.policy.use_fast_path = fast
     instances = [
         ModelInstance(f"m{i}", get_profile(_architecture(i))) for i in range(N_FUNCTIONS)

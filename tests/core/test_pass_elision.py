@@ -1,17 +1,18 @@
 """Event-driven pass elision: guard soundness, counters, and parity.
 
-The elision engine (``SystemConfig(pass_elision=True)``, the default) may
-only skip scheduling passes that are provably no-ops, so replaying any
-workload with elision on and off must produce byte-identical
-:class:`DecisionLog` sequences **and** identical final Datastore state.
-This module asserts exactly that, property-test style, across seeds ×
-policies × GPU-failure injection, and pins down the engine's elided/
-executed pass accounting.
+The Scheduler's pass loop may only skip scheduling passes that are
+provably no-ops, so replaying any workload through it and through the
+literal always-pass oracle (``oracles.literal_pass_engine``) must produce
+byte-identical :class:`DecisionLog` sequences **and** identical final
+Datastore state.  This module asserts exactly that, property-test style,
+across seeds × policies × GPU-failure injection, and pins down the
+engine's elided/executed pass accounting.
 """
 
 import random
 
 import pytest
+from oracles import literal_pass_engine
 
 from repro.cluster import ClusterSpec
 from repro.core.policies import make_scheduling_policy
@@ -44,12 +45,10 @@ def _run(policy: str, elide: bool, spec, *, fail_gpu_at: float | None = None):
     from repro.core.request import InferenceRequest
 
     system = FaaSCluster(
-        SystemConfig(
-            cluster=ClusterSpec.homogeneous(2, 3),
-            policy=policy,
-            pass_elision=elide,
-        )
+        SystemConfig(cluster=ClusterSpec.homogeneous(2, 3), policy=policy)
     )
+    if not elide:
+        literal_pass_engine(system)
     instances = [
         ModelInstance(f"m{i}", get_profile(_architecture(i))) for i in range(N_FUNCTIONS)
     ]
@@ -80,7 +79,7 @@ def _run(policy: str, elide: bool, spec, *, fail_gpu_at: float | None = None):
 
 
 class TestElisionParity:
-    """Elision on vs off: identical decisions and final KV state."""
+    """Pass loop vs literal oracle: identical decisions and final KV state."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("seed", SEEDS)
@@ -100,9 +99,6 @@ class TestElisionParity:
         assert any(kind.value == "resubmit" for _, kind, *_ in dec_on)
         assert dec_on == dec_off
         assert state_on == state_off
-
-    def test_elision_is_the_default(self):
-        assert SystemConfig().pass_elision is True
 
 
 class TestPassCounters:
@@ -155,13 +151,9 @@ class TestPassCounters:
         from repro.core.request import InferenceRequest
 
         spec = _workload(8, n_requests=200)
-        system = FaaSCluster(
-            SystemConfig(
-                cluster=ClusterSpec.homogeneous(2, 3),
-                policy="lalbo3",
-                pass_elision=False,
-            )
-        )
+        system = literal_pass_engine(FaaSCluster(
+            SystemConfig(cluster=ClusterSpec.homogeneous(2, 3), policy="lalbo3")
+        ))
         instances = [
             ModelInstance(f"m{i}", get_profile(_architecture(i)))
             for i in range(N_FUNCTIONS)
@@ -171,6 +163,11 @@ class TestPassCounters:
         system.run()
         assert system.scheduler.passes_elided == 0
         assert system.scheduler.passes_executed > 0
+
+    def test_literal_engine_refuses_an_observed_system(self):
+        system = FaaSCluster(SystemConfig(tracer="flight"))
+        with pytest.raises(ValueError, match="unobserved"):
+            literal_pass_engine(system)
 
     def test_elided_fraction_is_substantial_on_bursty_workload(self):
         from repro.core.request import InferenceRequest

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core.policies import (
+    POLICY_NAMES,
     LALBPolicy,
     LoadBalancingPolicy,
     make_scheduling_policy,
@@ -45,6 +46,16 @@ class TestFactory:
     def test_unknown_rejected(self):
         with pytest.raises(KeyError):
             make_scheduling_policy("fifo")
+
+    def test_factory_and_config_accept_the_same_names_exactly(self):
+        for name in POLICY_NAMES:
+            assert make_scheduling_policy(name).name == name
+            assert SystemConfig(policy=name).policy == name
+        for name in ("LALBO3", "Lb", "fifo"):
+            with pytest.raises(KeyError, match="known: lb, locality, lalb, lalbo3"):
+                make_scheduling_policy(name)
+            with pytest.raises(ValueError, match="unknown policy"):
+                SystemConfig(policy=name)
 
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ amplification) must drop by at least 3× per scheduling action.
 """
 
 import pytest
+from oracles import literal_pass_engine
 
 from repro.cluster import ClusterSpec
 from repro.core.request import InferenceRequest
@@ -43,9 +44,10 @@ def _run(batched: bool, spec, *, fail_gpu_at: float | None = None, elide: bool =
             cluster=ClusterSpec.homogeneous(2, 4),
             policy="lalbo3",
             datastore_batching=batched,
-            pass_elision=elide,
         )
     )
+    if not elide:
+        literal_pass_engine(system)
     instances = [
         ModelInstance(f"m{i}", get_profile(_architecture(i))) for i in range(N_FUNCTIONS)
     ]

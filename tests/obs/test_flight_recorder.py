@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.core import DecisionLog
 from repro.obs import FlightRecorder, NullTracer, Tracer
 from repro.runtime import FaaSCluster, SystemConfig
 from repro.traces.azure import SyntheticAzureTrace
@@ -96,6 +97,33 @@ class TestRings:
         t = system.tracer
         assert len(t.pass_records()) == t.totals["passes"]
         assert len(t.commit_records()) == t.totals["commits"]
+
+    def test_pass_span_decisions_survive_a_full_decision_log(self):
+        """Sampled pass spans count decisions from the log's monotone
+        counter: once the bounded DecisionLog is full its length stops
+        growing, and every span must still report what its pass decided."""
+
+        def traced(log_maxlen=None):
+            workload = build_workload(
+                WorkloadSpec(working_set=15, minutes=1, seed=0),
+                trace=SyntheticAzureTrace(),
+            )
+            system = FaaSCluster(SystemConfig(tracer="flight", trace_span_stride=1))
+            if log_maxlen is not None:
+                sched = system.scheduler
+                sched.decisions = DecisionLog(maxlen=log_maxlen)
+                sched._record_decision = sched.decisions.record
+            system.submit_workload(workload)
+            system.run()
+            return system
+
+        full = traced()
+        small = traced(log_maxlen=100)
+        assert small.tracer.dropped["passes"] == 0
+        spans = [decided for _, _, decided in small.tracer.pass_records()]
+        # a healthy replay decides only inside passes
+        assert sum(spans) == len(full.scheduler.decisions) > 100
+        assert spans == [decided for _, _, decided in full.tracer.pass_records()]
 
     def test_protocol_span_hooks_apply_the_same_stride(self):
         t = FlightRecorder(_FakeSim(), capacity=64, span_stride=4)
