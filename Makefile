@@ -30,11 +30,14 @@ bench:
 bench-check:
 	python -m repro.experiments bench-check
 
-## Decision parity only (quick hot-path sanity): every suite that replays
-## against the reference scans or the literal engines in tests/oracles.
+## Parity only (quick hot-path sanity): every suite that replays against
+## the reference scans or the literal oracles in tests/oracles (pass
+## engine, object-walk metrics, per-request workload builder).
 parity:
 	python -m pytest tests/core/test_decision_parity.py tests/core/test_pass_elision.py \
-	                 tests/core/test_write_path_parity.py tests/core/test_ephemeral_parity.py -q
+	                 tests/core/test_write_path_parity.py tests/core/test_ephemeral_parity.py \
+	                 tests/metrics/test_streaming_metrics.py tests/metrics/test_collector_differential.py \
+	                 tests/traces/test_workload_columnar.py -q
 
 ## cProfile the 2k-request §V-A replay: the top-25 functions by
 ## cumulative time, then a per-subsystem rollup (commit path, dispatch,

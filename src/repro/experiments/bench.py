@@ -13,7 +13,7 @@ cost.
 
 The ``end_to_end`` section replays the §V-A workload at 2k / 20k / 100k
 requests through the full system (columnar build → bulk injection → run →
-columnar summary), each in a fresh subprocess so the recorded peak RSS is
+exact-window summary), each in a fresh subprocess so the recorded peak RSS is
 per-replay, and records requests/second plus the speedup over both the
 retained per-request reference pipeline and the frozen pre-PR baseline.
 
@@ -264,14 +264,16 @@ def measure_write_amplification() -> dict:
 _PRE_PR_E2E_BASELINE_S = {2000: 0.330, 20000: 3.677, 100000: 16.088}
 _E2E_SIZES = (2000, 20000, 100000)
 
-# child-process body: one full replay, peak RSS measured in isolation
+# child-process body: one full replay, peak RSS measured in isolation (the
+# reference arm builds its workload with the tests/oracles per-request
+# loop; cwd is the repo root)
 _E2E_CHILD_CODE = """
 import json, resource, sys, time
 n = int(sys.argv[1]); reference = sys.argv[2] == "reference"
+sys.path.insert(0, "tests")
+from oracles import build_workload_reference
 from repro.traces.azure import SyntheticAzureTrace
-from repro.traces.workload import (
-    WorkloadSpec, build_workload, build_workload_reference,
-)
+from repro.traces.workload import WorkloadSpec, build_workload
 from repro.runtime import FaaSCluster, SystemConfig
 from repro.metrics.summary import summarize
 

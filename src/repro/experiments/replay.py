@@ -63,18 +63,17 @@ class GatewayReplay:
 
     def avg_gpu_latency(self) -> float:
         """Scheduler-visible latency (excludes container/Watchdog overhead)."""
-        reqs = self.system.completed
-        if not reqs:
+        if not self.system.metrics.completed_count:
             raise ValueError("no completed GPU requests")
-        return float(np.mean([r.latency for r in reqs]))
+        return summarize(self.system.metrics, self.system.cluster).avg_latency_s
 
     def faas_overhead(self) -> float:
         """Mean per-invocation overhead added by the FaaS layer."""
         return self.avg_invocation_latency() - self.avg_gpu_latency()
 
     def cache_miss_ratio(self) -> float:
-        reqs = self.system.completed
-        return sum(1 for r in reqs if r.cache_hit is False) / len(reqs)
+        metrics = self.system.metrics
+        return metrics.miss_count / metrics.completed_count
 
 
 def replay_through_gateway(

@@ -9,38 +9,29 @@ The collector observes two event streams:
   model, the quantity behind Fig. 6's "average number of duplicates of the
   top one model".
 
-Storage is **columnar**: every completion appends one row of scalars
-(arrival / dispatch / completion stamps, interned model / GPU /
-architecture codes, hit and SLA outcomes) to per-column append buffers,
-materialized into typed NumPy arrays lazily when read, alongside the
-request-object list kept for drill-down.
-:mod:`~repro.metrics.summary` reduces those columns with vectorized NumPy
-instead of per-request Python loops, and the per-model / miss counters are
-maintained *running* on :meth:`MetricsCollector.on_complete`, so queries
-like :meth:`most_invoked_model` cost O(models) — never a rescan of the
-completed list.
+Every completion updates exact running counters (misses, false misses,
+SLA totals/violations, retries, per-model invocations — so queries like
+:meth:`MetricsCollector.most_invoked_model` cost O(models), never a
+rescan) and appends one ``(latency, queueing, architecture code, hit)``
+row to the **exact window**.  :func:`~repro.metrics.summary.summarize`
+reduces the window with vectorized NumPy.
 
-Streaming mode
---------------
-Columnar storage is linear in replay size, which turns a 10M-request
-replay into an OOM.  ``MetricsCollector(sim, streaming=True)`` keeps
-memory **flat**: completed request objects are not retained, and each
-completion folds into
+The window is bounded by ``exact_cap``:
 
-* fixed-size :class:`~repro.metrics.histogram.LogHistogram` stores
-  (latency overall and per architecture),
-* exact running counters (misses, false misses, SLA totals/violations,
-  per-model invocations, compensated queueing-delay sum), and
-* an *exact window* — compact per-request scalar buffers retained up to
-  ``exact_cap`` completions (default 20k, a few hundred KB).  While the
-  run fits the window, :func:`~repro.metrics.summary.summarize` reduces
-  the very same float64 values with the very same NumPy calls as the
-  columnar path, so the summary is **byte-identical**; past the cap the
-  window is dropped and quantiles come from the histograms within the
-  documented ~1 % relative bound (counts, rates and ratios stay exact).
+* ``exact_cap=None`` (the default) never drops it, and the collector also
+  keeps the request objects in ``completed`` / ``lost`` for drill-down —
+  every summary is exact.
+* An integer cap keeps memory **flat**: no request objects are retained,
+  and once the run outgrows the cap the window is dropped — its rows fold
+  in order, then every later completion folds, into fixed-size
+  :class:`~repro.metrics.histogram.LogHistogram` stores (overall and per
+  architecture) plus a compensated queueing-delay sum.  Up to the cap the
+  summary is the unbounded one, byte for byte; past it, quantiles come
+  from the histograms within the documented ~1 % relative bound (counts,
+  rates and ratios stay exact, means are compensated sums).
 
 ``spill_to`` optionally tees every completion row to a CSV on disk for
-drill-down, since streaming mode keeps none of them in memory.
+drill-down, since a capped collector keeps none of them in memory.
 """
 
 from __future__ import annotations
@@ -54,53 +45,16 @@ from ..core.request import InferenceRequest
 from ..sim import Simulator
 from .histogram import LogHistogram
 
-__all__ = ["MetricsCollector", "CompletionColumns", "ExactWindow"]
-
-
-@dataclass(frozen=True)
-class CompletionColumns:
-    """Trimmed, read-only views of the collector's completion columns.
-
-    One row per completed request, in completion order.  Codes index the
-    collector's ``model_names`` / ``gpu_names`` / ``architectures`` interning
-    tables.  ``cache_hit`` is ``1`` hit / ``0`` miss / ``-1`` unknown;
-    ``sla_s`` is NaN for best-effort requests.
-    """
-
-    arrival: np.ndarray       # float64, seconds
-    dispatched: np.ndarray    # float64, seconds
-    completed: np.ndarray     # float64, seconds
-    model: np.ndarray         # int32 codes
-    gpu: np.ndarray           # int32 codes
-    architecture: np.ndarray  # int32 codes
-    cache_hit: np.ndarray     # int8
-    false_miss: np.ndarray    # bool
-    sla_s: np.ndarray         # float64, NaN = no SLA
-
-    def __len__(self) -> int:
-        return int(self.arrival.shape[0])
-
-    @property
-    def latency(self) -> np.ndarray:
-        return self.completed - self.arrival
-
-    @property
-    def queueing(self) -> np.ndarray:
-        return self.dispatched - self.arrival
+__all__ = ["MetricsCollector", "ExactWindow"]
 
 
 @dataclass(frozen=True)
 class ExactWindow:
-    """Typed views of the streaming collector's exact-window buffers.
-
-    Same float64 values, in the same order, as the columnar path's
-    derived columns — reducing them with the same NumPy calls reproduces
-    the columnar summary bit for bit.
-    """
+    """Typed views of the collector's exact-window rows, in completion order."""
 
     latency: np.ndarray       # float64, completed - arrival
     queueing: np.ndarray      # float64, dispatched - arrival (NaN if never)
-    architecture: np.ndarray  # int32 codes
+    architecture: np.ndarray  # int32 codes into MetricsCollector.architectures
     cache_hit: np.ndarray     # int8: 1 hit / 0 miss / -1 unknown
 
     def __len__(self) -> int:
@@ -108,7 +62,7 @@ class ExactWindow:
 
 
 class _ArchStream:
-    """Fixed-size per-architecture fold target (streaming breakdown)."""
+    """Fixed-size per-architecture fold target (breakdown past the cap)."""
 
     __slots__ = ("hist", "misses")
 
@@ -118,7 +72,7 @@ class _ArchStream:
 
 
 class _RowSpill:
-    """Lazily-opened CSV tee of completion rows (streaming drill-down)."""
+    """Lazily-opened CSV tee of completion rows (drill-down for a capped collector)."""
 
     __slots__ = ("path", "_fh")
 
@@ -151,24 +105,6 @@ class _RowSpill:
             self._fh = None
 
 
-class _Interner:
-    """String → dense int32 code, with the reverse table public."""
-
-    __slots__ = ("codes", "names")
-
-    def __init__(self) -> None:
-        self.codes: dict[str, int] = {}
-        self.names: list[str] = []
-
-    def code(self, name: str) -> int:
-        c = self.codes.get(name)
-        if c is None:
-            c = len(self.names)
-            self.codes[name] = c
-            self.names.append(name)
-        return c
-
-
 class MetricsCollector:
     """Accumulates per-request and cache-residency statistics."""
 
@@ -176,11 +112,12 @@ class MetricsCollector:
         self,
         sim: Simulator,
         *,
-        streaming: bool = False,
-        exact_cap: int = 20_000,
+        exact_cap: int | None = None,
         spill_to: str | None = None,
     ) -> None:
         self.sim = sim
+        #: exact-window bound; None keeps every row and the request objects
+        self.exact_cap = exact_cap
         self.completed: list[InferenceRequest] = []
         self.started_at = sim.now
         # duplicates tracking: current residency count and its time integral
@@ -190,12 +127,19 @@ class MetricsCollector:
         self._dup_peak: dict[str, int] = defaultdict(int)
         self.cache_events: int = 0
         # running per-completion counters (no rescans of `completed`)
+        self._n = 0
         self.miss_count = 0
         self.false_miss_count = 0
+        self.sla_total = 0
+        self.sla_violations = 0
         self._invocations: dict[str, int] = {}  # model_id -> completions
+        #: architecture names, indexed by the window's architecture codes
+        self.architectures: list[str] = []
+        self._arch_codes: dict[str, int] = {}
         # availability accounting (chaos/robustness): lost requests,
         # failure-retry totals, and open-fault → repair-time tracking
         self.lost: list[InferenceRequest] = []
+        self._lost_n = 0
         self.lost_reasons: dict[str, int] = {}
         self.retries_total = 0
         self.faults_injected = 0
@@ -205,81 +149,26 @@ class MetricsCollector:
         self.tracer = None
         #: (fault kind, target, repair seconds) per healed fault
         self.repairs: list[tuple[str, str, float]] = []
-        # columnar completion buffers: plain Python lists on the append
-        # path (a NumPy scalar store costs several times a list append,
-        # and this runs once per completion), materialized into typed
-        # arrays lazily — and cached — when the columns are read
-        self._models = _Interner()
-        self._gpus = _Interner()
-        self._archs = _Interner()
-        self._n = 0
-        #: one 9-field row tuple per completion (a single append beats
-        #: nine per-column appends on the completion path); split into
-        #: typed arrays lazily by columns()
-        self._rows: list[tuple] = []
-        self._columns_cache: CompletionColumns | None = None
-        # --- streaming (flat-memory) mode state --------------------------
-        self.streaming = streaming
-        self.exact_cap = int(exact_cap)
+        #: one (latency, queueing, arch code, hit code) row per completion;
+        #: None once the run outgrew ``exact_cap``
+        self._window: list[tuple] | None = []
+        self._window_cache: ExactWindow | None = None
+        # fold targets, filled only once the window is dropped
+        self._lat_hist = LogHistogram()
+        self._arch_stats: dict[int, _ArchStream] = {}
+        self._queue_sum = 0.0
+        self._queue_sum_c = 0.0
         self._spill = _RowSpill(spill_to) if spill_to else None
-        self._lost_streamed = 0
-        if streaming:
-            self.lat_hist = LogHistogram()
-            self._arch_stats: dict[int, _ArchStream] = {}
-            # exact-window append buffers; dropped (set to None) past cap
-            self._w_lat: list[float] | None = []
-            self._w_queue: list[float] | None = []
-            self._w_arch: list[int] | None = []
-            self._w_hit: list[int] | None = []
-            self._window_cache: ExactWindow | None = None
-            # exact running aggregates (valid in both regimes)
-            self.sla_total = 0
-            self.sla_violations = 0
-            self._queue_sum = 0.0
-            self._queue_sum_c = 0.0
 
     # ------------------------------------------------------------------
     # Observers
     # ------------------------------------------------------------------
     def on_complete(self, request: InferenceRequest) -> None:
-        if self.streaming:
-            self._on_complete_streaming(request)
-            return
-        if request.completed_at is None:
-            raise ValueError(f"request {request.request_id} has not completed")
-        self.completed.append(request)
-        if request.retries:
-            self.retries_total += request.retries
-        model_id = request.model_id
-        self._invocations[model_id] = self._invocations.get(model_id, 0) + 1
-        hit = request.cache_hit
-        if hit is False:
-            self.miss_count += 1
-        if request.false_miss:
-            self.false_miss_count += 1
-        self._rows.append((
-            request.arrival_time,
-            request.dispatched_at if request.dispatched_at is not None else np.nan,
-            request.completed_at,
-            self._models.code(model_id),
-            self._gpus.code(request.gpu_id or "?"),
-            self._archs.code(request.model.architecture),
-            -1 if hit is None else (1 if hit else 0),
-            request.false_miss,
-            request.sla_s if request.sla_s is not None else np.nan,
-        ))
-        self._n += 1
-
-    def _on_complete_streaming(self, request: InferenceRequest) -> None:
-        """Fold one completion into fixed-size state; retain nothing.
-
-        The scalar derivations (``completed - arrival`` etc.) are the same
-        IEEE float64 operations the columnar path performs elementwise, so
-        the exact window holds bit-identical values.
-        """
         completed = request.completed_at
         if completed is None:
             raise ValueError(f"request {request.request_id} has not completed")
+        if self.exact_cap is None:
+            self.completed.append(request)
         if request.retries:
             self.retries_total += request.retries
         model_id = request.model_id
@@ -291,67 +180,98 @@ class MetricsCollector:
             self.false_miss_count += 1
         arrival = request.arrival_time
         lat = completed - arrival
-        dispatched = request.dispatched_at
-        queue = (dispatched - arrival) if dispatched is not None else float("nan")
-        arch = self._archs.code(request.model.architecture)
         sla = request.sla_s
-        self._n += 1
-        # exact running aggregates
         if sla is not None:
             self.sla_total += 1
             if lat > sla:
                 self.sla_violations += 1
+        dispatched = request.dispatched_at
+        arch = request.model.architecture
+        code = self._arch_codes.get(arch)
+        if code is None:
+            code = self._arch_codes[arch] = len(self.architectures)
+            self.architectures.append(arch)
+        row = (
+            lat,
+            (dispatched - arrival) if dispatched is not None else np.nan,
+            code,
+            -1 if hit is None else (1 if hit else 0),
+        )
+        self._n += 1
+        window = self._window
+        if window is None:
+            self._fold(row)
+        else:
+            window.append(row)
+            cap = self.exact_cap
+            if cap is not None and len(window) > cap:
+                self._drop_window()
+        if self._spill is not None:
+            self._spill.write(request)
+
+    def _fold(self, row: tuple) -> None:
+        """Fold one window row into the fixed-size histogram state."""
+        lat, queue, code, hit = row
+        self._lat_hist.record(lat)
+        stats = self._arch_stats.get(code)
+        if stats is None:
+            stats = self._arch_stats[code] = _ArchStream()
+        stats.hist.record(lat)
+        if hit == 0:
+            stats.misses += 1
         s = self._queue_sum
         t = s + queue
         self._queue_sum_c += (s - t) + queue if abs(s) >= abs(queue) else (queue - t) + s
         self._queue_sum = t
-        # histogram folds (both regimes; take over past the window)
-        self.lat_hist.record(lat)
-        stats = self._arch_stats.get(arch)
-        if stats is None:
-            stats = self._arch_stats[arch] = _ArchStream()
-        stats.hist.record(lat)
-        if hit is False:
-            stats.misses += 1
-        # exact window, dropped once the run outgrows it
-        w_lat = self._w_lat
-        if w_lat is not None:
-            if self._n <= self.exact_cap:
-                w_lat.append(lat)
-                self._w_queue.append(queue)
-                self._w_arch.append(arch)
-                self._w_hit.append(-1 if hit is None else (1 if hit else 0))
-            else:
-                self._w_lat = self._w_queue = self._w_arch = self._w_hit = None
-                self._window_cache = None
-        if self._spill is not None:
-            self._spill.write(request)
+
+    def _drop_window(self) -> None:
+        """The run outgrew ``exact_cap``: fold the window's rows in order."""
+        window = self._window
+        self._window = self._window_cache = None
+        for row in window:
+            self._fold(row)
 
     def exact_window(self) -> ExactWindow | None:
         """Typed views of the exact window, or ``None`` once outgrown.
 
-        Streaming mode only.  Cached until the next completion, like
-        :meth:`columns`.
+        Cached until the next completion, so the several summarize /
+        breakdown consumers of one finished run convert it exactly once.
         """
-        if not self.streaming:
-            raise RuntimeError("exact_window() is only meaningful in streaming mode")
-        if self._w_lat is None:
+        window = self._window
+        if window is None:
             return None
         cached = self._window_cache
         if cached is not None and len(cached) == self._n:
             return cached
-        window = ExactWindow(
-            latency=np.asarray(self._w_lat, dtype=np.float64),
-            queueing=np.asarray(self._w_queue, dtype=np.float64),
-            architecture=np.asarray(self._w_arch, dtype=np.int32),
-            cache_hit=np.asarray(self._w_hit, dtype=np.int8),
+        if window:
+            lat, queue, arch, hit = zip(*window)
+        else:
+            lat = queue = arch = hit = ()
+        cached = self._window_cache = ExactWindow(
+            latency=np.asarray(lat, dtype=np.float64),
+            queueing=np.asarray(queue, dtype=np.float64),
+            architecture=np.asarray(arch, dtype=np.int32),
+            cache_hit=np.asarray(hit, dtype=np.int8),
         )
-        self._window_cache = window
-        return window
+        return cached
+
+    def latency_histogram(self) -> LogHistogram:
+        """Latency histogram over every completion so far.
+
+        Past the cap this is the folded histogram itself; inside the
+        window it is folded afresh from the window, in completion order,
+        so it is the same histogram a capped collector would hold.
+        """
+        if self._window is None:
+            return self._lat_hist
+        hist = LogHistogram()
+        for row in self._window:
+            hist.record(row[0])
+        return hist
 
     @property
     def queueing_sum(self) -> float:
-        """Compensated running sum of queueing delays (streaming mode)."""
+        """Compensated sum of the folded queueing delays (past the cap)."""
         return self._queue_sum + self._queue_sum_c
 
     def close_spill(self) -> None:
@@ -379,9 +299,8 @@ class MetricsCollector:
     def on_lost(self, request: InferenceRequest, reason: str) -> None:
         """A request left the system without completing (deadline timeout
         or exhausted retry budget)."""
-        if self.streaming:
-            self._lost_streamed += 1
-        else:
+        self._lost_n += 1
+        if self.exact_cap is None:
             self.lost.append(request)
         self.lost_reasons[reason] = self.lost_reasons.get(reason, 0) + 1
         if request.retries:
@@ -406,7 +325,7 @@ class MetricsCollector:
 
     @property
     def lost_count(self) -> int:
-        return self._lost_streamed if self.streaming else len(self.lost)
+        return self._lost_n
 
     def mean_mttr(self) -> float:
         """Mean time-to-repair over every healed fault (0.0 if none)."""
@@ -426,60 +345,10 @@ class MetricsCollector:
         self._dup_integral[model_id] += self._dup_count[model_id] * (now - since)
         self._dup_since[model_id] = now
 
-    # ------------------------------------------------------------------
-    # Columnar access
-    # ------------------------------------------------------------------
     @property
     def completed_count(self) -> int:
         """Completions so far (O(1); what the timeline sampler polls)."""
         return self._n
-
-    @property
-    def model_names(self) -> list[str]:
-        return self._models.names
-
-    @property
-    def gpu_names(self) -> list[str]:
-        return self._gpus.names
-
-    @property
-    def architectures(self) -> list[str]:
-        return self._archs.names
-
-    def columns(self) -> CompletionColumns:
-        """Typed array views of the completion columns.
-
-        Materialized from the append buffers on demand and cached until
-        the next completion, so the several summarize/breakdown consumers
-        of one finished run convert each column exactly once.
-        """
-        if self.streaming:
-            raise RuntimeError(
-                "streaming collector keeps no per-request columns; "
-                "use exact_window() / lat_hist instead"
-            )
-        cached = self._columns_cache
-        if cached is not None and len(cached) == self._n:
-            return cached
-        if self._rows:
-            (arrival, dispatched, completed, model, gpu, arch,
-             cache_hit, false_miss, sla) = zip(*self._rows)
-        else:
-            arrival = dispatched = completed = model = gpu = arch = ()
-            cache_hit = false_miss = sla = ()
-        cols = CompletionColumns(
-            arrival=np.asarray(arrival, dtype=np.float64),
-            dispatched=np.asarray(dispatched, dtype=np.float64),
-            completed=np.asarray(completed, dtype=np.float64),
-            model=np.asarray(model, dtype=np.int32),
-            gpu=np.asarray(gpu, dtype=np.int32),
-            architecture=np.asarray(arch, dtype=np.int32),
-            cache_hit=np.asarray(cache_hit, dtype=np.int8),
-            false_miss=np.asarray(false_miss, dtype=bool),
-            sla_s=np.asarray(sla, dtype=np.float64),
-        )
-        self._columns_cache = cols
-        return cols
 
     # ------------------------------------------------------------------
     # Queries

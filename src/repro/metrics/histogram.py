@@ -1,22 +1,23 @@
 """Fixed-size log-bucketed histograms for streaming metrics.
 
-The columnar :class:`~repro.metrics.collector.MetricsCollector` keeps one
-row per completion, which makes memory linear in replay size — fine at
-100k requests, an OOM at 10M.  :class:`LogHistogram` is the fold target
-for the streaming mode: per-request latency samples land in a **fixed**
-array of log-spaced buckets (the HdrHistogram shape), alongside running
-compensated sums, so a million-request replay carries the same few
-kilobytes of metric state as a two-thousand-request one.
+The :class:`~repro.metrics.collector.MetricsCollector`'s exact window
+keeps one row per completion, which makes memory linear in replay size —
+fine at 100k requests, an OOM at 10M.  :class:`LogHistogram` is the fold
+target once a run outgrows a finite ``exact_cap``: per-request latency
+samples land in a **fixed** array of log-spaced buckets (the
+HdrHistogram shape), alongside running compensated sums, so a
+million-request replay carries the same few kilobytes of metric state as
+a two-thousand-request one.
 
 Accuracy contract
 -----------------
 * ``count`` / ``min`` / ``max`` are exact.
 * ``sum`` (and therefore ``mean``) uses Neumaier-compensated summation:
   exact to the last float64 rounding of the true sum — in practice it
-  matches NumPy's pairwise ``mean`` to ~1 ulp, and the streaming
-  collector only relies on it *above* its exact-buffer cap (below the
-  cap, summaries come from the retained sample buffer and are
-  byte-identical to the columnar path).
+  matches NumPy's pairwise ``mean`` to ~1 ulp, and the collector only
+  relies on it *above* its exact-window cap (below the cap, summaries
+  reduce the window itself and are byte-identical to the unbounded
+  collector's).
 * ``variance`` derives from the compensated sum of squares; same regime.
 * ``quantile`` reports the **geometric midpoint** of the bucket holding
   the q-th sample.  With bucket boundaries growing by ``growth`` per

@@ -104,17 +104,16 @@ class SystemConfig:
     #: built whenever a fault plan is active; TTL must exceed the cadence)
     health_heartbeat_s: float = 1.0
     health_ttl_s: float = 3.0
-    #: flat-memory metrics: fold completions into fixed-size histograms /
-    #: running counters instead of columnar per-request storage (see
-    #: :mod:`repro.metrics.collector`).  Summaries are byte-identical to
-    #: columnar up to ``metrics_exact_cap`` completions, ~1 %-bounded
-    #: quantiles beyond.  False keeps the exact columnar store.
-    metrics_streaming: bool = False
-    #: streaming mode's exact-window size (completions whose scalars are
-    #: retained for byte-exact summaries before histograms take over)
-    metrics_exact_cap: int = 20_000
-    #: optional CSV path: streaming mode tees every completion row there
-    #: for drill-down, since it keeps none of them in memory
+    #: metrics exact-window bound (see :mod:`repro.metrics.collector`).
+    #: None (the default) keeps every completion's scalars and the request
+    #: objects — exact summaries.  An integer keeps memory flat: no request
+    #: objects, summaries byte-identical to the unbounded ones up to this
+    #: many completions, then folded into fixed-size histograms
+    #: (quantiles within ~1 %; counts, rates and ratios stay exact)
+    metrics_exact_cap: int | None = None
+    #: optional CSV path every completion row is teed to for drill-down,
+    #: since a capped collector keeps none of them in memory (requires a
+    #: finite ``metrics_exact_cap``)
     metrics_spill_path: str | None = None
     #: tracing backend: ``"null"`` (default) installs nothing — every
     #: component keeps its ``None`` tracer and the hot paths pay one
@@ -183,10 +182,10 @@ class SystemConfig:
             raise ValueError("health_heartbeat_s must be positive")
         if self.health_ttl_s <= self.health_heartbeat_s:
             raise ValueError("health_ttl_s must exceed health_heartbeat_s")
-        if self.metrics_exact_cap < 0:
+        if self.metrics_exact_cap is not None and self.metrics_exact_cap < 0:
             raise ValueError("metrics_exact_cap cannot be negative")
-        if self.metrics_spill_path is not None and not self.metrics_streaming:
-            raise ValueError("metrics_spill_path requires metrics_streaming=True")
+        if self.metrics_spill_path is not None and self.metrics_exact_cap is None:
+            raise ValueError("metrics_spill_path requires a finite metrics_exact_cap")
         if self.tracer not in ("null", "flight"):
             raise ValueError(f"unknown tracer {self.tracer!r} (known: null, flight)")
         if self.tracer_capacity < 16:
@@ -209,21 +208,21 @@ class SystemConfig:
 def streaming_config(**overrides) -> SystemConfig:
     """A :class:`SystemConfig` with every at-scale bounded-memory default on.
 
-    The flat-RSS replay preset: streaming metrics (histogram fold past the
-    exact window), MVCC autocompaction (bounded KV event log), and a
-    sliding latency-record window (bounded live key set) — the three
-    linear-memory consumers a million-request replay cannot afford.
-    Any field can still be overridden, including the defaults this preset
-    sets.
+    The flat-RSS replay preset: a finite metrics exact window (histogram
+    fold past 20k completions, no request objects retained), MVCC
+    autocompaction (bounded KV event log), and a sliding latency-record
+    window (bounded live key set) — the three linear-memory consumers a
+    million-request replay cannot afford.  Any field can still be
+    overridden, including the defaults this preset sets.
 
     >>> cfg = streaming_config(policy="lalb")
-    >>> cfg.metrics_streaming, cfg.kv_autocompact_keep, cfg.policy
-    (True, 20000, 'lalb')
+    >>> cfg.metrics_exact_cap, cfg.kv_autocompact_keep, cfg.policy
+    (20000, 20000, 'lalb')
     >>> cfg.latency_log_keep
     20000
     """
     merged: dict = {
-        "metrics_streaming": True,
+        "metrics_exact_cap": 20_000,
         "kv_autocompact_keep": DEFAULT_STREAMING_COMPACT_KEEP,
         "latency_log_keep": DEFAULT_STREAMING_COMPACT_KEEP,
     }

@@ -53,7 +53,6 @@ class FaaSCluster:
 
         self.metrics = MetricsCollector(
             self.sim,
-            streaming=self.config.metrics_streaming,
             exact_cap=self.config.metrics_exact_cap,
             spill_to=self.config.metrics_spill_path,
         )

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.replay import replay_through_gateway
-from repro.runtime import SystemConfig
+from repro.runtime import SystemConfig, streaming_config
 from repro.traces import AzureTraceConfig, SyntheticAzureTrace, WorkloadSpec
 
 SMALL_TRACE = SyntheticAzureTrace(
@@ -63,3 +63,17 @@ class TestReplay:
     def test_functions_registered_with_gpu_flag(self, replay):
         for name in replay.gateway.list_functions():
             assert replay.gateway.get(name).spec.gpu_enabled
+
+
+class TestFlatMemoryMetrics:
+    def test_gpu_metrics_under_a_capped_collector(self):
+        """A capped collector retains no request objects; the GPU-side
+        metrics come from its counters and summary instead."""
+        spec = WorkloadSpec(working_set=4, minutes=1, requests_per_minute=30, seed=0)
+        capped = replay_through_gateway(spec, config=streaming_config())
+        unbounded = replay_through_gateway(spec)
+        assert capped.system.completed == []
+        assert capped.system.metrics.completed_count == 30
+        assert capped.avg_gpu_latency() == unbounded.avg_gpu_latency()
+        assert capped.faas_overhead() == unbounded.faas_overhead()
+        assert capped.cache_miss_ratio() == unbounded.cache_miss_ratio() == 6 / 30

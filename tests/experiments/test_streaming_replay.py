@@ -64,14 +64,14 @@ class TestFlatMemoryState:
     def test_no_linear_state_retained(self):
         _, system = replay_streaming(SPEC)
         m = system.metrics
-        assert m.streaming
+        assert m.exact_cap is not None
         assert m.completed == []
-        assert m._rows == []
-        assert m.lat_hist.count == m.completed_count > 0
+        assert len(m.exact_window()) == m.completed_count <= m.exact_cap
+        assert m.latency_histogram().count == m.completed_count > 0
 
     def test_streaming_config_defaults(self):
         cfg = streaming_config()
-        assert cfg.metrics_streaming
+        assert cfg.metrics_exact_cap == 20_000
         assert cfg.kv_autocompact_keep == DEFAULT_STREAMING_COMPACT_KEEP
         assert streaming_config(kv_autocompact_keep=7).kv_autocompact_keep == 7
 

@@ -63,9 +63,20 @@ def test_no_tracer_metrics_without_tracer():
 
 
 def test_streaming_mode_renders_latency_histogram():
-    system = _replay(SystemConfig(metrics_streaming=True, metrics_exact_cap=0))
+    system = _replay(SystemConfig(metrics_exact_cap=0))
     text = prometheus_exposition(system)
     assert "# TYPE repro_request_latency_seconds histogram" in text
     assert 'repro_request_latency_seconds_bucket{le="+Inf"}' in text
     count = re.search(r"repro_request_latency_seconds_count (\d+)", text)
     assert count and int(count.group(1)) == system.metrics.completed_count
+
+
+def test_exposition_identical_at_every_exact_cap():
+    """The latency histogram renders for every run, and inside the window
+    it is folded exactly as a capped collector folds it."""
+    texts = [
+        prometheus_exposition(_replay(SystemConfig(metrics_exact_cap=cap)))
+        for cap in (None, 0, 20_000)
+    ]
+    assert 'repro_request_latency_seconds_bucket{le="+Inf"}' in texts[0]
+    assert texts[0] == texts[1] == texts[2]

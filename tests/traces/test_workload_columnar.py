@@ -8,13 +8,13 @@ while building no request objects until asked.
 
 import numpy as np
 import pytest
+from oracles import build_workload_reference
 
 from repro.traces import (
     AzureTraceConfig,
     SyntheticAzureTrace,
     WorkloadSpec,
     build_workload,
-    build_workload_reference,
 )
 
 
