@@ -8,25 +8,21 @@ test:
 	python -m pytest -x -q
 
 ## Scheduler perf trajectory: runs benchmarks/test_scheduler_overhead.py
-## under pytest-benchmark, replays the §V-A workload end-to-end at
-## 2k/20k/100k requests, measures the commit path (WriteBatch.flush +
-## compaction, ephemeral-key tier on vs off under bounded retention),
-## measures the sweep orchestrator's grid scaling at 1/2/4 workers
-## (+ resume-from-store), and writes BENCH_scheduler.json (committed, so
-## every PR is measured against the last).
+## under pytest-benchmark, then every section of the bench's section
+## table (calibration, write amplification, commit path, end-to-end
+## 2k/20k/100k, streaming 100k/1M, fault replay, pass elision,
+## observability, sweep scaling), each arm in a fresh child process, and
+## writes BENCH_scheduler.json (committed, so every PR is measured
+## against the last).
 bench:
 	python -m repro.experiments bench
 
-## Gate the committed trajectory: fails when the 20k/2k pass-cost ratio
-## exceeds 3x, the batched path drifts from ~1 revision per action, the
-## ephemeral tier stops cutting >=20% off per-action commit cost at 2k
-## (or stops shrinking history), the sharded sweep's merged payload
-## drifts from the sequential one, resume of a completed sweep stops
-## being served from the store in <1 s, (on >=2-core machines) the
-## 4-worker grid speedup drops below 1.5x, or the observability gates
-## fail: flight-recorder overhead > 5% over tracer-off, tracer-off
-## throughput below the calibration-relative floor, an invalid exported
-## trace, or decision logs diverging under tracing (docs/observability.md).
+## Gate the committed trajectory: evaluates every row of the bench's gate
+## table (depth scaling, revisions per action, commit path, elision,
+## calibration-relative run budget and req/s floors, streaming RSS and
+## throughput, fault replay, observability, sweep determinism/resume/
+## speedup) and fails on any violation or missing section/key; on
+## success prints how many gates and sections it checked.
 bench-check:
 	python -m repro.experiments bench-check
 

@@ -73,8 +73,8 @@ class WriteStats:
     ``logical_writes`` counts every client ``put``/``put_lazy``/``delete``
     call — what the components *asked* for, in either mode.  ``flushes``,
     ``committed_keys``, and ``coalesced_writes`` describe the batched path
-    only (they stay 0 with batching off, where every logical write commits
-    individually and the revision counter tracks the logical stream).
+    only (with batching off every logical write commits individually and
+    the revision counter tracks the logical stream).
     Revisions come from ``kv.revision``; ``writes-per-revision`` (logical /
     revisions) is the amplification the batched path removes.
     """

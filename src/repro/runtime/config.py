@@ -49,10 +49,6 @@ class SystemConfig:
     replacement: str = "lru"
     #: Datastore watch-notification delay (0 = synchronous)
     watch_delay_s: float = 0.0
-    #: batch the control plane's Datastore writes: each scheduling action's
-    #: puts commit as one transaction → one revision → one coalesced watch
-    #: batch (False restores the literal one-revision-per-put path)
-    datastore_batching: bool = True
     #: auto-compact the Datastore's MVCC history below a sliding revision
     #: horizon of this many revisions (etcd's ``--auto-compaction``
     #: analogue): the KV event log and per-key history stay bounded on

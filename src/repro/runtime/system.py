@@ -43,7 +43,7 @@ class FaaSCluster:
         self.datastore = Datastore(
             self.sim,
             watch_delay=self.config.watch_delay_s,
-            batched=self.config.datastore_batching,
+            batched=True,
             ephemeral_prefixes=self.config.ephemeral_prefixes,
         )
 

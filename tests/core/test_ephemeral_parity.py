@@ -6,14 +6,14 @@ high-churn status keys skip MVCC history, event-log records, and lineage
 — but every scheduling input is a *live* read, so on a seeded workload
 the tier on and off must produce identical DecisionLogs and an identical
 normalized final key→value store state, across the write-path matrix
-(batched × pass loop or literal-engine oracle), through GPU
-failure/recovery, and under a full chaos profile.  The structural claim
-is asserted too: with the tier on, the hot prefixes leave zero history
-entries and zero event-log records.
+(batched or literal-write-path oracle × pass loop or literal-engine
+oracle), through GPU failure/recovery, and under a full chaos profile.
+The structural claim is asserted too: with the tier on, the hot prefixes
+leave zero history entries and zero event-log records.
 """
 
 import pytest
-from oracles import literal_pass_engine
+from oracles import literal_pass_engine, literal_write_path
 
 from repro.cluster import ClusterSpec
 from repro.core.request import InferenceRequest
@@ -47,11 +47,12 @@ def _run(
         SystemConfig(
             cluster=ClusterSpec.homogeneous(2, 4),
             policy="lalbo3",
-            datastore_batching=batched,
             ephemeral_prefixes=EPHEMERAL_HOT_PREFIXES if ephemeral else (),
             **config_kwargs,
         )
     )
+    if not batched:
+        literal_write_path(system)
     if not elide:
         literal_pass_engine(system)
     instances = [

@@ -1,19 +1,20 @@
 """Write-path parity: the batched Datastore write path vs. the literal one.
 
-The batched path (``SystemConfig.datastore_batching=True``, the default)
-accumulates every scheduling action's Datastore writes and commits them as
-one transaction; the literal path issues one revision per put.  Nothing
-about *what* the control plane computes may change: on a seeded
-2k-request workload (including a mid-run GPU failure) both modes must
-produce identical DecisionLogs and an identical final key→value store
-state — the batch only removes intermediate revisions, never final values.
+The batched path (the only one ``FaaSCluster`` builds) accumulates every
+scheduling action's Datastore writes and commits them as one transaction;
+the literal path (``tests/oracles.literal_write_path``) issues one
+revision per put.  Nothing about *what* the control plane computes may
+change: on a seeded 2k-request workload (including a mid-run GPU
+failure) both modes must produce identical DecisionLogs and an identical
+final key→value store state — the batch only removes intermediate
+revisions, never final values.
 
 It must also actually remove them: the revision count (write
 amplification) must drop by at least 3× per scheduling action.
 """
 
 import pytest
-from oracles import literal_pass_engine
+from oracles import literal_pass_engine, literal_write_path
 
 from repro.cluster import ClusterSpec
 from repro.core.request import InferenceRequest
@@ -40,12 +41,10 @@ def _architecture(fn_idx: int) -> str:
 
 def _run(batched: bool, spec, *, fail_gpu_at: float | None = None, elide: bool = True):
     system = FaaSCluster(
-        SystemConfig(
-            cluster=ClusterSpec.homogeneous(2, 4),
-            policy="lalbo3",
-            datastore_batching=batched,
-        )
+        SystemConfig(cluster=ClusterSpec.homogeneous(2, 4), policy="lalbo3")
     )
+    if not batched:
+        literal_write_path(system)
     if not elide:
         literal_pass_engine(system)
     instances = [
@@ -107,12 +106,9 @@ class TestBatchedWritePathParity:
         spec = _workload(SEED + 2, n_requests=300)
 
         def run_with_watch(batched):
-            system = FaaSCluster(
-                SystemConfig(
-                    cluster=ClusterSpec.homogeneous(1, 4),
-                    datastore_batching=batched,
-                )
-            )
+            system = FaaSCluster(SystemConfig(cluster=ClusterSpec.homogeneous(1, 4)))
+            if not batched:
+                literal_write_path(system)
             instances = [
                 ModelInstance(f"m{i}", get_profile(_architecture(i)))
                 for i in range(N_FUNCTIONS)
@@ -137,7 +133,7 @@ class TestBatchedWritePathParity:
         assert bat_final == lit_final
 
     def test_batching_is_the_default(self):
-        assert SystemConfig().datastore_batching is True
+        assert FaaSCluster(SystemConfig()).datastore.batched is True
 
     def test_pass_elision_dimension_preserves_decisions_and_state(self):
         """Pass elision composes with both write paths: every combination

@@ -12,6 +12,9 @@ reference arms) compare production against them:
   unbounded collector (``exact_cap=None``) retains.
 * :func:`build_workload_reference` — the seed's per-request §V-A.1
   workload extraction loop.
+* :func:`literal_write_path` — the control plane's Datastore writes
+  committed one revision per put, with no shared write batch.  Like
+  :func:`literal_pass_engine` it patches a built system in place.
 
 Import as ``from oracles import literal_pass_engine``: pytest puts
 ``tests/`` on ``sys.path`` through ``tests/conftest.py``, and out-of-
@@ -30,6 +33,7 @@ from repro.traces.workload import Workload, WorkloadSpec, _extract
 __all__ = [
     "build_workload_reference",
     "literal_pass_engine",
+    "literal_write_path",
     "object_walk_breakdown",
     "object_walk_summary",
 ]
@@ -74,6 +78,20 @@ def literal_pass_engine(system):
 
     sched._run_policy = run_policy
     sched.pass_work_remaining = None
+    return system
+
+
+def literal_write_path(system):
+    """Switch ``system``'s Datastore to the literal one-revision-per-put path.
+
+    Every client put and delete then commits at once as its own revision
+    (and its own watch notification) instead of joining the shared
+    :class:`~repro.datastore.batch.WriteBatch`.  Call it on a freshly built
+    system, before any run writes: whatever the batch still holds is
+    committed first, so reads never miss a pending write.
+    """
+    system.datastore.flush()
+    system.datastore.batched = False
     return system
 
 
